@@ -1,5 +1,6 @@
 """Shared machinery for the Figure 9 family benchmarks."""
 
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.naiad import from_collection, run_where_many
 from repro.queries import DOMAIN_QUERIES
@@ -23,12 +24,13 @@ def figure9_family_benchmark(benchmark, dataset, domain, family, n_udfs=BENCH_N_
     many = run_where_many(rows, programs, dataset.functions)
     report = consolidate_all(programs, dataset.functions)
     pids = [p.pid for p in programs]
+    config = ExecutionConfig(workers=4)
 
     def run_consolidated():
-        query = from_collection(rows).where_consolidated(
+        query = from_collection(rows, config=config).where_consolidated(
             report.program, pids, dataset.functions
         )
-        return query.run(workers=4)
+        return query.run()
 
     cons = benchmark(run_consolidated)
 

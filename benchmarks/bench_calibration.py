@@ -6,10 +6,10 @@ unprofitable, and lose nothing on the merged plan's runtime cost.  This
 file measures that pitch as a paired, same-process A/B on the Weather
 Mix family:
 
-* **A** — ``consolidate_all(..., planner="related")`` (the default
-  clustered/related pipeline);
-* **B** — ``consolidate_all(..., planner="calibrated")`` with the
-  uniform fallback model (no trace needed, so the benchmark is
+* **A** — ``consolidate_all(..., config=ExecutionConfig(planner="related"))``
+  (the default clustered/related pipeline);
+* **B** — ``consolidate_all(..., config=ExecutionConfig(planner="calibrated"))``
+  with the uniform fallback model (no trace needed, so the benchmark is
   self-contained and deterministic).
 
 Runs are interleaved A,B,A,B,… and each side keeps its best, so clock
@@ -60,10 +60,12 @@ def measure(cities=50, years=1, n_udfs=24, seed=3, repeats=3, rows_limit=400):
     pids = [p.pid for p in programs]
     rows = list(dataset.rows[:rows_limit])
 
+    configs = {p: ExecutionConfig(planner=p) for p in ("related", "calibrated")}
+
     def consolidate(planner):
         started = time.perf_counter()
         report = consolidate_all(
-            list(programs), dataset.functions, planner=planner
+            list(programs), dataset.functions, config=configs[planner]
         )
         return time.perf_counter() - started, report
 
@@ -84,11 +86,10 @@ def measure(cities=50, years=1, n_udfs=24, seed=3, repeats=3, rows_limit=400):
     many = run_where_many(rows, programs, dataset.functions)
     costs = {}
     for planner, report in reports.items():
-        cfg = ExecutionConfig()
         result = (
-            from_collection(rows, config=cfg)
+            from_collection(rows)
             .where_consolidated(report.program, pids, dataset.functions)
-            .run(cfg)
+            .run()
         )
         assert result.buckets == many.buckets, (
             f"{planner} planner changed notification buckets — soundness bug"

@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang.compile import clear_compile_cache, compile_cached
@@ -70,15 +71,17 @@ def measure(cities=120, n_udfs=50, family="Mix", seed=1, repeats=3):
         "compile_seconds_per_udf": round(compile_seconds / (n_udfs + 1), 6),
     }
 
+    configs = {b: ExecutionConfig(backend=b, workers=4) for b in ("interp", "compiled")}
+
     def run_consolidated(backend):
-        query = from_collection(rows).where_consolidated(
-            merged, pids, ft, backend=backend
+        query = from_collection(rows, config=configs[backend]).where_consolidated(
+            merged, pids, ft
         )
-        return query.run(workers=4)
+        return query.run()
 
     results = {}
     for label, run in (
-        ("where_many", lambda b: run_where_many(rows, programs, ft, backend=b)),
+        ("where_many", lambda b: run_where_many(rows, programs, ft, config=configs[b])),
         ("where_consolidated", run_consolidated),
     ):
         interp_s, interp_run = _best_of(repeats, lambda: run("interp"))

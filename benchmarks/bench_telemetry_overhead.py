@@ -134,7 +134,7 @@ def measure(cities=120, n_udfs=50, family="Mix", seed=1, repeats=5, workers=4):
         profiled_cfg = ExecutionConfig(profiler=profiler)
         profiled_query = build(profiled_cfg)
         profiled_s, profiled_run = _best_of(
-            repeats, lambda: profiled_query.run(profiled_cfg)
+            repeats, lambda: profiled_query.run()
         )
         store.close()
         samples_taken = profiler.samples_taken

@@ -117,7 +117,7 @@ def measure(n_udfs=12, depth=10, rows=8000, repeats=7):
         return (
             from_collection(records, config=config)
             .where_consolidated(merged, pids, ft)
-            .run(config)
+            .run()
         )
 
     # Warm both plan caches before timing, then interleave the two

@@ -132,7 +132,7 @@ def collect_metrics(scale: str) -> dict:
     # last one and compare against the full batch's consolidation time.
     from repro.consolidation.incremental import add_query, rebuild
 
-    tree, _ = rebuild(programs[:-1], dataset.functions, provenance=False)
+    tree, _ = rebuild(programs[:-1], dataset.functions)
     started = time.perf_counter()
     add_query(
         tree, programs[-1], dataset.functions, static_validate=False, record=False

@@ -59,11 +59,7 @@ def consolidate(
 
     cfg = config or ExecutionConfig()
     return consolidate_all(
-        list(programs),
-        cfg.resolve_functions(functions),
-        cfg.cost_model,
-        options,
-        config=cfg,
+        list(programs), cfg.resolve_functions(functions), options=options, config=cfg
     )
 
 
@@ -95,7 +91,7 @@ def run(
         query = query.where_consolidated(report.program, pids, table)
     else:
         query = query.where_many(programs, table)
-    return query.run(cfg)
+    return query.run()
 
 
 def register(

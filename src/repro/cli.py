@@ -519,10 +519,9 @@ def cmd_profile(args) -> int:
         for family in families:
             batch = module.make_batch(dataset, family, n=args.n, seed=args.seed)
             for program in batch:
-                query = from_collection(rows, config=cfg).where(
+                from_collection(rows, config=cfg).where(
                     program, dataset.functions
-                )
-                query.run(cfg)
+                ).run()
                 invocations += len(rows)
     print(
         f"# profiled {invocations} UDF invocations across {len(families)} "

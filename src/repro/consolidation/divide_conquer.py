@@ -29,14 +29,17 @@ Each tree level's pair consolidations can run on an ``executor``:
   folded back into the parent's report; per-query SMT latency histograms
   are process-local and therefore only recorded for serial/thread runs.
 
-The legacy ``parallel=True`` flag is a deprecated alias for
-``executor="thread"``.  :class:`ConsolidationReport.executor` records
-which executor actually ran.
+:class:`ConsolidationReport.executor` records which executor actually
+ran.
 
-Telemetry (``telemetry=`` or ``config.telemetry``): per-pair merge time
-histogram, calculus rule application counts, SMT query counters and the
-entailment fast-path counters all land in the metrics registry; tracing
-adds ``consolidate.batch`` / ``consolidate.pair`` spans.
+Every run-time knob — cost model, executor, pool size, telemetry,
+provenance, prefilter, planner, calibration, SMT budget — comes from the
+one :class:`repro.config.ExecutionConfig` passed as ``config=``, the same
+object the dataflow operators run the merged program under.  Telemetry
+(``config.telemetry``): per-pair merge time histogram, calculus rule
+application counts, SMT query counters and the entailment fast-path
+counters all land in the metrics registry; tracing adds
+``consolidate.batch`` / ``consolidate.pair`` spans.
 """
 
 from __future__ import annotations
@@ -46,17 +49,14 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Optional, Sequence
 
+from ..config import ExecutionConfig
 from ..lang.ast import Program, seq
-from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable, LibraryFunction
 from ..lang.visitors import notified_pids, rename_locals
 from ..smt.solver import Solver
 from ..provenance.recorder import DerivationRecorder, Heuristic
-from ..telemetry import NULL_TELEMETRY
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator
 from .simplifier import SimplifyStats
-
-_PLANNERS = ("related", "calibrated")
 
 __all__ = [
     "ConsolidationReport",
@@ -65,8 +65,6 @@ __all__ = [
     "FAULT_HOOK",
     "SMT_UNKNOWN_NOTE",
 ]
-
-_EXECUTORS = ("serial", "thread", "process")
 
 # Prefix of the ConsolidationReport.degradations entry recording that the
 # SMT solver answered "unknown" during the batch.  Unlike a skipped pair or
@@ -158,8 +156,7 @@ class ConsolidationReport:
     """What happened while merging a batch of UDFs.
 
     ``executor``/``max_workers`` record how the driver was configured, so
-    scalability experiments can attribute a duration to the pool it used
-    (``parallel`` is kept as a derived legacy field).
+    scalability experiments can attribute a duration to the pool it used.
 
     ``simplify_stats`` aggregates the entailment fast-path counters
     (abstract-env pre-check skips, memo hits) over every pair;
@@ -168,12 +165,12 @@ class ConsolidationReport:
 
     ``derivations`` holds one
     :class:`repro.provenance.DerivationTree` per successfully merged pair
-    when provenance recording was requested (``provenance=True`` or
-    ``config.provenance``); it is empty otherwise.
+    when provenance recording was requested (``config.provenance``); it is
+    empty otherwise.
 
     ``prefilter`` holds the :class:`repro.analysis.prefilter.Prefilter`
-    synthesized for the merged program when requested (``prefilter=True``
-    or ``config.prefilter``), and ``prefilter_seconds`` its synthesis
+    synthesized for the merged program when requested
+    (``config.prefilter``), and ``prefilter_seconds`` its synthesis
     time — reported separately from ``duration`` (and spanned as
     ``consolidate.prefilter``) so guard synthesis can be banded apart
     from merge time.
@@ -206,7 +203,6 @@ class ConsolidationReport:
     prefilter: object = None
     prefilter_seconds: float = 0.0
     solver_stats: dict[str, int] = field(default_factory=dict)
-    parallel: bool = False
     max_workers: int = 1
     executor: str = "serial"
     simplify_stats: dict = field(default_factory=dict)
@@ -317,21 +313,12 @@ def _merge_pair_task(payload: tuple):
 def consolidate_all(
     programs: list[Program],
     functions: FunctionTable,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    *,
     options: ConsolidationOptions | None = None,
     order: str = "clustered",
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
     priority: Sequence[str] | None = None,
-    executor: Optional[str] = None,
-    telemetry=None,
-    config=None,
-    provenance: Optional[bool] = None,
-    prefilter: Optional[bool] = None,
     keep_tree: bool = False,
-    planner: Optional[str] = None,
-    calibration=None,
-    smt_budget_seconds: Optional[float] = None,
+    config: ExecutionConfig | None = None,
 ) -> ConsolidationReport:
     """Merge ``programs`` into one program broadcasting every result.
 
@@ -342,20 +329,23 @@ def consolidate_all(
     second's, a higher-priority query's result is broadcast earlier in the
     merged program, bounding its latency.
 
-    ``executor`` selects how each tree level's pair merges run (see module
-    docstring); ``config`` (an :class:`repro.config.ExecutionConfig`)
-    supplies defaults for ``executor``, ``max_workers``, ``telemetry`` and
-    ``provenance``.
+    ``config`` (an :class:`repro.config.ExecutionConfig`, default
+    ``ExecutionConfig()``) supplies every run-time knob:
 
-    ``provenance=True`` records one
-    :class:`~repro.provenance.DerivationTree` per merged pair onto the
-    report's ``derivations`` — every rule application, entailment, rewrite
-    and heuristic decision of the batch.
-
-    ``prefilter=True`` additionally synthesizes a sound reject-early guard
-    for the final merged program (see :mod:`repro.analysis.prefilter`);
-    the result and its timing land on ``report.prefilter`` /
-    ``report.prefilter_seconds``.
+    * ``cost_model`` — the Figure-2 model behind every ``cost(e') <=
+      cost(e)`` side condition;
+    * ``executor`` / ``max_workers`` — how each tree level's pair merges
+      run (see module docstring);
+    * ``telemetry`` — spans, counters and histograms of the batch;
+    * ``provenance`` — record one
+      :class:`~repro.provenance.DerivationTree` per merged pair onto the
+      report's ``derivations``: every rule application, entailment,
+      rewrite and heuristic decision of the batch;
+    * ``prefilter`` — additionally synthesize a sound reject-early guard
+      for the final merged program (see :mod:`repro.analysis.prefilter`);
+      the result and its timing land on ``report.prefilter`` /
+      ``report.prefilter_seconds``;
+    * ``planner`` / ``calibration`` / ``smt_budget_seconds`` — see below.
 
     ``keep_tree=True`` records the divide-and-conquer structure itself: the
     report's ``merge_tree`` holds one :class:`MergeNode` per original
@@ -403,32 +393,14 @@ def consolidate_all(
                 )
             seen_pids[pid] = p.pid
 
-    if parallel is not None:
-        from ..config import deprecated_kwarg
-
-        deprecated_kwarg("parallel", "executor='thread'")
-        if executor is None:
-            executor = "thread" if parallel else "serial"
-    if executor is None:
-        executor = config.executor if config is not None else "serial"
-    if executor not in _EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
-    if max_workers is None:
-        max_workers = config.max_workers if config is not None else 4
-    if telemetry is None:
-        telemetry = config.telemetry if config is not None else NULL_TELEMETRY
-    if provenance is None:
-        provenance = bool(config.provenance) if config is not None else False
-    if prefilter is None:
-        prefilter = bool(config.prefilter) if config is not None else False
-    if planner is None:
-        planner = config.planner if config is not None else "related"
-    if planner not in _PLANNERS:
-        raise ValueError(f"unknown planner {planner!r}; choose from {_PLANNERS}")
-    if calibration is None and config is not None:
-        calibration = config.calibration
-    if smt_budget_seconds is None and config is not None:
-        smt_budget_seconds = config.smt_budget_seconds
+    cfg = config if config is not None else ExecutionConfig()
+    cost_model = cfg.cost_model
+    executor = cfg.executor
+    max_workers = cfg.max_workers
+    telemetry = cfg.telemetry
+    provenance = cfg.provenance
+    planner = cfg.planner
+    smt_budget_seconds = cfg.smt_budget_seconds
 
     if order == "priority":
         rank = {pid: i for i, pid in enumerate(priority or [])}
@@ -470,8 +442,8 @@ def consolidate_all(
         from ..profiling import CalibratedCostModel
 
         calib_model = (
-            calibration
-            if calibration is not None
+            cfg.calibration
+            if cfg.calibration is not None
             else CalibratedCostModel.uniform(cost_model)
         )
 
@@ -730,7 +702,7 @@ def consolidate_all(
     # the stats snapshot below, so its certificate queries are counted).
     prefilter_obj = None
     prefilter_seconds = 0.0
-    if prefilter:
+    if cfg.prefilter:
         from ..analysis.prefilter import synthesize_prefilter
 
         recorder = DerivationRecorder() if provenance else None
@@ -812,7 +784,6 @@ def consolidate_all(
         prefilter=prefilter_obj,
         prefilter_seconds=prefilter_seconds,
         solver_stats=solver_stats,
-        parallel=executor != "serial",
         max_workers=max_workers if executor != "serial" else 1,
         executor=executor,
         simplify_stats=simplify_snapshot,

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..config import ExecutionConfig
 from ..lang.ast import Program
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
@@ -286,24 +287,17 @@ def _rebuild_path(
 def rebuild(
     programs: list[Program],
     functions: FunctionTable,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     *,
-    config=None,
-    provenance: bool = True,
-    telemetry=None,
+    config: ExecutionConfig | None = None,
 ) -> tuple[MergeNode, ConsolidationReport]:
-    """Full re-consolidation, keeping the tree for future patches."""
+    """Full re-consolidation, keeping the tree for future patches.
+
+    Cost model, telemetry and provenance recording come from ``config``.
+    """
 
     report = consolidate_all(
-        programs,
-        functions,
-        cost_model,
-        options,
-        config=config,
-        provenance=provenance,
-        telemetry=telemetry,
-        keep_tree=True,
+        programs, functions, options=options, keep_tree=True, config=config
     )
     return report.merge_tree, report
 

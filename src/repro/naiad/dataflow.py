@@ -26,9 +26,6 @@ telemetry the engine takes a separate, uninstrumented code path whose
 overhead over the pre-telemetry engine is bounded by
 ``benchmarks/bench_telemetry_overhead.py`` (≤ 5%).
 
-``RunMetrics`` absorbed the former ``JobMetrics`` (same fields, plus the
-per-operator breakdown); the old name remains as a deprecated alias.
-
 Determinism: given the same graph, input and worker count, a run produces
 identical costs and outputs — which is what makes the benchmark harness
 reproducible.
@@ -36,7 +33,6 @@ reproducible.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
@@ -120,7 +116,7 @@ class OperatorStats:
 
 @dataclass
 class RunMetrics:
-    """Cost accounting for one dataflow run (formerly ``JobMetrics``).
+    """Cost accounting for one dataflow run.
 
     ``udf_cost`` counts only the work done inside user-defined functions
     (Figure 2 units); ``total_cost`` adds IO and engine overhead.
@@ -431,15 +427,3 @@ class Dataflow:
             registry.counter(
                 "dataflow_operator_notifications_total", operator=name
             ).inc(stats.notifications)
-
-
-def __getattr__(name: str):
-    if name == "JobMetrics":
-        warnings.warn(
-            "JobMetrics was absorbed into RunMetrics; update imports to "
-            "repro.naiad.dataflow.RunMetrics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RunMetrics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

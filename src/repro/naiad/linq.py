@@ -14,20 +14,19 @@ points implement the operators of Section 6.1:
 Configuration travels as ONE object: every entry point takes an
 :class:`repro.config.ExecutionConfig` (``config=``) carrying backend,
 workers, cost model, default function table, executor and telemetry.  The
-pre-config keyword arguments (``backend=``, ``workers=``, ``cost_model=``,
-``io_cost_per_record=``, ...) still work but emit
-:class:`DeprecationWarning`.
+query keeps it, its operators read it, and ``run_where_consolidated``
+hands the same object to the consolidator, so merging and executing see
+one cost model.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
-from ..config import ExecutionConfig, resolve_config
+from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
 from ..lang.ast import Program
-from ..lang.cost import CostModel
 from ..lang.functions import FunctionTable
 from .dataflow import Dataflow, RunResult, Vertex
 from .operators import Collect, Count, CountByKey, FlatMap, Select, Where, WhereConsolidated, WhereMany
@@ -63,66 +62,27 @@ class Query:
         self._dataflow.add_vertex(vertex, upstream=self._tail)
         return Query(self._records, self._dataflow, vertex, self._config)
 
-    def _udf_kwargs(
-        self, cost_model: Optional[CostModel], backend: Optional[str]
-    ) -> dict:
-        cfg = resolve_config(
-            self._config, cost_model=cost_model, backend=backend, stacklevel=4
-        )
-        return {
-            "cost_model": cfg.cost_model,
-            "backend": cfg.backend,
-            "memoize_calls": cfg.memoize_calls,
-            "telemetry": cfg.telemetry,
-            "prefilter": cfg.prefilter,
-            "profiler": cfg.profiler,
-        }
-
     def where(
-        self,
-        program: Program,
-        functions: Optional[FunctionTable] = None,
-        cost_model: Optional[CostModel] = None,
-        backend: Optional[str] = None,
+        self, program: Program, functions: Optional[FunctionTable] = None
     ) -> "Query":
-        return self._extend(
-            Where(
-                program,
-                self._config.resolve_functions(functions),
-                **self._udf_kwargs(cost_model, backend),
-            )
-        )
+        cfg = self._config
+        return self._extend(Where(program, cfg.resolve_functions(functions), cfg))
 
     def where_many(
-        self,
-        programs: Sequence[Program],
-        functions: Optional[FunctionTable] = None,
-        cost_model: Optional[CostModel] = None,
-        backend: Optional[str] = None,
+        self, programs: Sequence[Program], functions: Optional[FunctionTable] = None
     ) -> "Query":
-        return self._extend(
-            WhereMany(
-                programs,
-                self._config.resolve_functions(functions),
-                **self._udf_kwargs(cost_model, backend),
-            )
-        )
+        cfg = self._config
+        return self._extend(WhereMany(programs, cfg.resolve_functions(functions), cfg))
 
     def where_consolidated(
         self,
         merged: Program,
         pids: Sequence[str],
         functions: Optional[FunctionTable] = None,
-        cost_model: Optional[CostModel] = None,
-        backend: Optional[str] = None,
     ) -> "Query":
+        cfg = self._config
         return self._extend(
-            WhereConsolidated(
-                merged,
-                pids,
-                self._config.resolve_functions(functions),
-                **self._udf_kwargs(cost_model, backend),
-            )
+            WhereConsolidated(merged, pids, cfg.resolve_functions(functions), cfg)
         )
 
     def select(self, fn: Callable[[Any], Any], cost: int = 3) -> "Query":
@@ -140,29 +100,17 @@ class Query:
     def collect(self, bucket: str = "out") -> "Query":
         return self._extend(Collect(bucket))
 
-    def run(
-        self,
-        config: ExecutionConfig | None = None,
-        *,
-        workers: Optional[int] = None,
-    ) -> RunResult:
-        cfg = resolve_config(config if config is not None else self._config, workers=workers)
+    def run(self) -> RunResult:
+        cfg = self._config
         return self._dataflow.run(self._records, cfg.workers, telemetry=cfg.telemetry)
 
 
 def from_collection(
-    records: Sequence[Any],
-    io_cost_per_record: Optional[int] = None,
-    overhead_per_operator: Optional[int] = None,
-    config: ExecutionConfig | None = None,
+    records: Sequence[Any], *, config: ExecutionConfig | None = None
 ) -> Query:
     """Start a query over an in-memory collection (one graph root)."""
 
-    cfg = resolve_config(
-        config,
-        io_cost_per_record=io_cost_per_record,
-        overhead_per_operator=overhead_per_operator,
-    )
+    cfg = config if config is not None else ExecutionConfig()
     dataflow = Dataflow(cfg.io_cost_per_record, cfg.overhead_per_operator)
 
     class _Source(Vertex):
@@ -180,49 +128,34 @@ def run_where_many(
     records: Sequence[Any],
     programs: Sequence[Program],
     functions: Optional[FunctionTable] = None,
-    cost_model: Optional[CostModel] = None,
-    workers: Optional[int] = None,
-    io_cost_per_record: Optional[int] = None,
-    backend: Optional[str] = None,
+    *,
     config: ExecutionConfig | None = None,
 ) -> RunResult:
     """Execute the ``whereMany`` baseline over the collection."""
 
-    cfg = resolve_config(
-        config,
-        cost_model=cost_model,
-        workers=workers,
-        io_cost_per_record=io_cost_per_record,
-        backend=backend,
-    )
-    query = from_collection(records, config=cfg).where_many(programs, functions)
-    return query.run(cfg)
+    return from_collection(records, config=config).where_many(programs, functions).run()
 
 
 def run_where_consolidated(
     records: Sequence[Any],
     programs: Sequence[Program],
     functions: Optional[FunctionTable] = None,
-    cost_model: Optional[CostModel] = None,
-    workers: Optional[int] = None,
-    io_cost_per_record: Optional[int] = None,
+    *,
     options: ConsolidationOptions | None = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> tuple[RunResult, ConsolidationReport]:
-    """Consolidate the batch, execute ``whereConsolidated``, report both."""
+    """Consolidate the batch, execute ``whereConsolidated``, report both.
 
-    cfg = resolve_config(
-        config,
-        cost_model=cost_model,
-        workers=workers,
-        io_cost_per_record=io_cost_per_record,
-        backend=backend,
-    )
+    The consolidator and the merged program's runner both read
+    ``config.cost_model``: the merge's ``cost(e') <= cost(e)`` side
+    conditions are checked under the model the program then runs under.
+    """
+
+    cfg = config if config is not None else ExecutionConfig()
     table = cfg.resolve_functions(functions)
     report = consolidate_all(list(programs), table, options=options, config=cfg)
     pids = [p.pid for p in programs]
     query = from_collection(records, config=cfg).where_consolidated(
         report.program, pids, table
     )
-    return query.run(cfg), report
+    return query.run(), report

@@ -16,7 +16,12 @@ Both route a record into bucket ``pid`` whenever query ``pid`` accepts it,
 so downstream consumers cannot tell them apart — equivalence is asserted by
 the test-suite and the harness.
 
-With ``prefilter=True`` the Where operators synthesize a sound
+Every Where operator takes the query's :class:`repro.config.ExecutionConfig`
+and builds each UDF's runner, prefilter guard and vectorized plan from it
+through one helper (:func:`_udf_plan`), so the backend, cost model and
+telemetry of a run are those of its config and nothing else.
+
+With ``config.prefilter`` the Where operators synthesize a sound
 reject-early guard (:mod:`repro.analysis.prefilter`) per UDF at
 construction time and evaluate it first on every record: a row the guard
 rejects provably notifies nobody, so the full UDF is skipped and only the
@@ -31,11 +36,11 @@ from __future__ import annotations
 
 from itertools import compress
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ..config import ExecutionConfig
 from ..lang.ast import Program
-from ..lang.compile import DEFAULT_BACKEND, make_runner
-from ..lang.cost import DEFAULT_COST_MODEL, CostModel
+from ..lang.compile import make_runner
 from ..lang.functions import FunctionTable
 from ..lang.vectorize import columns_from_records, vectorize_cached
 from .dataflow import Vertex, Worker
@@ -58,24 +63,64 @@ def _bind_args(program: Program, record: Any) -> dict[str, Any]:
     return {program.params[0]: record}
 
 
-def _make_guards(
-    programs: Sequence[Program],
-    functions: FunctionTable,
-    cost_model: CostModel,
-    backend: str,
-    telemetry,
-) -> Optional[list]:
-    """Build one prefilter guard per program; None when no guard is usable."""
+# Shared by operators built without a config; frozen, so safe to share.
+_DEFAULT_CONFIG = ExecutionConfig()
 
-    from ..analysis.prefilter import make_guard
 
-    guards = [
-        make_guard(
-            p, functions, cost_model, backend=backend, telemetry=telemetry
+def _vector_guard(guard, program, functions, cost_model, telemetry):
+    """The column-mask form of a prefilter guard (None = use per-row)."""
+
+    if guard is None:
+        return None
+    try:
+        from ..analysis.prefilter import prefilter_program
+
+        wrapper = prefilter_program(guard.prefilter, program)
+        vg = vectorize_cached(wrapper, functions, cost_model, telemetry=telemetry)
+        return vg if vg.vectorized else None
+    except Exception:  # noqa: BLE001 - the per-row guard still applies
+        return None
+
+
+def _udf_plan(program: Program, functions: FunctionTable, config: ExecutionConfig):
+    """Everything one UDF needs to run under ``config``.
+
+    Returns ``(runner, guard, vp, vguard)``: the per-record runner, the
+    prefilter guard (``None`` unless ``config.prefilter`` synthesized a
+    usable one), and — under the vectorized backend only — the column
+    plan and the column form of the guard.
+    """
+
+    cost_model = config.cost_model
+    backend = config.backend
+    telemetry = config.telemetry
+    guard = None
+    if config.prefilter:
+        from ..analysis.prefilter import make_guard
+
+        guard = make_guard(
+            program, functions, cost_model, backend=backend, telemetry=telemetry
         )
-        for p in programs
-    ]
-    return guards if any(g is not None for g in guards) else None
+    runner = make_runner(
+        program,
+        functions,
+        cost_model,
+        backend=backend,
+        memoize_calls=config.memoize_calls,
+        telemetry=telemetry,
+        profiler=config.profiler,
+    )
+    vp = vguard = None
+    if backend == "vectorized":
+        vp = vectorize_cached(
+            program,
+            functions,
+            cost_model,
+            memoize_calls=config.memoize_calls,
+            telemetry=telemetry,
+        )
+        vguard = _vector_guard(guard, program, functions, cost_model, telemetry)
+    return runner, guard, vp, vguard
 
 
 class _PrefilterMixin:
@@ -152,23 +197,6 @@ class _VectorMixin(_PrefilterMixin):
         if not pending:
             return []
         return pending.pop(worker.index, [])
-
-    @staticmethod
-    def _vector_guard(guard, program, functions, cost_model, telemetry):
-        """The column-mask form of a prefilter guard (None = use per-row)."""
-
-        if guard is None:
-            return None
-        try:
-            from ..analysis.prefilter import prefilter_program
-
-            wrapper = prefilter_program(guard.prefilter, program)
-            vg = vectorize_cached(
-                wrapper, functions, cost_model, telemetry=telemetry
-            )
-            return vg if vg.vectorized else None
-        except Exception:  # noqa: BLE001 - the per-row guard still applies
-            return None
 
     def _apply_guard(self, vguard, guard, program, records, worker) -> list:
         """φ as a batch-compacting mask, with the row guard's exact books.
@@ -279,45 +307,17 @@ class Where(_VectorMixin, Vertex):
         self,
         program: Program,
         functions: FunctionTable,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        memoize_calls: bool = False,
-        backend: str = DEFAULT_BACKEND,
-        telemetry=None,
-        prefilter: bool = False,
-        profiler=None,
+        config: ExecutionConfig = _DEFAULT_CONFIG,
     ) -> None:
         super().__init__(f"where[{program.pid}]")
         self.program = program
-        self._telemetry = telemetry
-        self._profiler = profiler
+        self._telemetry = config.telemetry
+        self._profiler = config.profiler
         self._functions = functions
-        self.guard = None
-        if prefilter:
-            guards = _make_guards(
-                [program], functions, cost_model, backend, telemetry
-            )
-            self.guard = guards[0] if guards else None
-        self.runner = make_runner(
-            program,
-            functions,
-            cost_model,
-            backend=backend,
-            memoize_calls=memoize_calls,
-            telemetry=telemetry,
-            profiler=profiler,
+        self._vectorized = config.backend == "vectorized"
+        self.runner, self.guard, self._vp, self._vguard = _udf_plan(
+            program, functions, config
         )
-        self._vectorized = backend == "vectorized"
-        if self._vectorized:
-            self._vp = vectorize_cached(
-                program,
-                functions,
-                cost_model,
-                memoize_calls=memoize_calls,
-                telemetry=telemetry,
-            )
-            self._vguard = self._vector_guard(
-                self.guard, program, functions, cost_model, telemetry
-            )
 
     def process(self, record: Any, worker: Worker) -> Iterable[Any]:
         if self._vectorized:
@@ -352,57 +352,23 @@ class WhereMany(_VectorMixin, Vertex):
         self,
         programs: Sequence[Program],
         functions: FunctionTable,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        memoize_calls: bool = False,
-        backend: str = DEFAULT_BACKEND,
-        telemetry=None,
-        prefilter: bool = False,
-        profiler=None,
+        config: ExecutionConfig = _DEFAULT_CONFIG,
     ) -> None:
         super().__init__(f"whereMany[{len(programs)}]")
         if not programs:
             raise ValueError("whereMany needs at least one UDF")
         self.programs = list(programs)
-        self._telemetry = telemetry
-        self._profiler = profiler
+        self._telemetry = config.telemetry
+        self._profiler = config.profiler
         self._functions = functions
-        self.guards = (
-            _make_guards(self.programs, functions, cost_model, backend, telemetry)
-            if prefilter
-            else None
-        )
-        self.runners = [
-            make_runner(
-                p,
-                functions,
-                cost_model,
-                backend=backend,
-                memoize_calls=memoize_calls,
-                telemetry=telemetry,
-                profiler=profiler,
-            )
-            for p in programs
-        ]
-        self._vectorized = backend == "vectorized"
-        if self._vectorized:
-            self._vps = [
-                vectorize_cached(
-                    p,
-                    functions,
-                    cost_model,
-                    memoize_calls=memoize_calls,
-                    telemetry=telemetry,
-                )
-                for p in programs
-            ]
-            self._vguards = (
-                [
-                    self._vector_guard(g, p, functions, cost_model, telemetry)
-                    for g, p in zip(self.guards, self.programs)
-                ]
-                if self.guards is not None
-                else None
-            )
+        self._vectorized = config.backend == "vectorized"
+        plans = [_udf_plan(p, functions, config) for p in self.programs]
+        self.runners = [plan[0] for plan in plans]
+        guards = [plan[1] for plan in plans]
+        # None when no guard is usable: the row loop then skips the lookup.
+        self.guards = guards if any(g is not None for g in guards) else None
+        self._vps = [plan[2] for plan in plans]
+        self._vguards = [plan[3] for plan in plans]
 
     def process(self, record: Any, worker: Worker) -> Iterable[Any]:
         if self._vectorized:
@@ -427,8 +393,9 @@ class WhereMany(_VectorMixin, Vertex):
             if records:
                 for index, (program, vp) in enumerate(zip(self.programs, self._vps)):
                     guard = self.guards[index] if self.guards is not None else None
-                    vguard = self._vguards[index] if self._vguards is not None else None
-                    kept = self._apply_guard(vguard, guard, program, records, worker)
+                    kept = self._apply_guard(
+                        self._vguards[index], guard, program, records, worker
+                    )
                     batch = self._run_batch(vp, program, kept, worker)
                     if batch is None:
                         continue
@@ -446,46 +413,18 @@ class WhereConsolidated(_VectorMixin, Vertex):
         merged: Program,
         pids: Sequence[str],
         functions: FunctionTable,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        memoize_calls: bool = False,
-        backend: str = DEFAULT_BACKEND,
-        telemetry=None,
-        prefilter: bool = False,
-        profiler=None,
+        config: ExecutionConfig = _DEFAULT_CONFIG,
     ) -> None:
         super().__init__(f"whereConsolidated[{len(pids)}]")
         self.merged = merged
         self.pids = list(pids)
-        self._telemetry = telemetry
-        self._profiler = profiler
+        self._telemetry = config.telemetry
+        self._profiler = config.profiler
         self._functions = functions
-        self.guard = None
-        if prefilter:
-            guards = _make_guards(
-                [merged], functions, cost_model, backend, telemetry
-            )
-            self.guard = guards[0] if guards else None
-        self.runner = make_runner(
-            merged,
-            functions,
-            cost_model,
-            backend=backend,
-            memoize_calls=memoize_calls,
-            telemetry=telemetry,
-            profiler=profiler,
+        self._vectorized = config.backend == "vectorized"
+        self.runner, self.guard, self._vp, self._vguard = _udf_plan(
+            merged, functions, config
         )
-        self._vectorized = backend == "vectorized"
-        if self._vectorized:
-            self._vp = vectorize_cached(
-                merged,
-                functions,
-                cost_model,
-                memoize_calls=memoize_calls,
-                telemetry=telemetry,
-            )
-            self._vguard = self._vector_guard(
-                self.guard, merged, functions, cost_model, telemetry
-            )
 
     def process(self, record: Any, worker: Worker) -> Iterable[Any]:
         if self._vectorized:

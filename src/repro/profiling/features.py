@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
+from ..analysis.costmodel import _DEFAULT_CALL_COST
 from ..lang.ast import (
     Arg,
     Assign,
@@ -79,9 +80,6 @@ RECORD_KIND = "record"
 # cannot prove; the same figure for every program keeps rankings stable.
 LOOP_UNROLL = 4
 
-# Mirrors repro.analysis.costmodel._DEFAULT_CALL_COST for calls to
-# functions absent from the table.
-_DEFAULT_CALL_COST = 10
 
 
 def _add(units: Dict[str, float], kind: str, amount: float = 1.0) -> None:
@@ -100,7 +98,7 @@ def _expr_units(
     elif isinstance(e, Call):
         if functions is not None and e.func in functions:
             call_cost = functions[e.func].cost
-        else:
+        else:  # absent from the table: the static estimator's price
             call_cost = _DEFAULT_CALL_COST
         _add(units, "call", float(call_cost))
         for a in e.args:

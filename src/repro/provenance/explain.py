@@ -180,11 +180,13 @@ def explain_batch(
         selected,
         dataset.functions,
         options=options,
-        telemetry=telemetry,
-        provenance=True,
-        prefilter=True,
-        planner=planner,
-        calibration=calibration,
+        config=ExecutionConfig(
+            telemetry=telemetry,
+            provenance=True,
+            prefilter=True,
+            planner=planner,
+            calibration=calibration,
+        ),
     )
     prefilter_summary = None
     if report.prefilter is not None:
@@ -201,13 +203,11 @@ def explain_batch(
     # live telemetry (the NULL path skips the bookkeeping entirely).
     records = dataset.rows if rows is None else dataset.rows[: max(rows, 1)]
     cfg = ExecutionConfig(telemetry=telemetry, functions=dataset.functions)
-    many_run = (
-        from_collection(records, config=cfg).where_many(selected).run(cfg)
-    )
+    many_run = from_collection(records, config=cfg).where_many(selected).run()
     cons_run = (
         from_collection(records, config=cfg)
         .where_consolidated(report.program, list(pids))
-        .run(cfg)
+        .run()
     )
 
     predicted = {

@@ -394,10 +394,7 @@ class QueryRegistry:
         tree, report = rebuild(
             programs,
             self.functions,
-            self.config.cost_model,
-            config=self.config,
-            provenance=self.service.record_derivations,
-            telemetry=self.telemetry,
+            config=self.config.evolve(provenance=self.service.record_derivations),
         )
         self.stats["full_rebuilds"] += 1
         self.stats["patch_fallbacks"] += 1
@@ -496,7 +493,7 @@ class QueryRegistry:
         query = from_collection(rows, config=self.config).where_consolidated(
             tree.program, pids, self.functions
         )
-        return query.run(self.config)
+        return query.run()
 
     def metrics_doc(self) -> dict:
         """The ``/metrics`` document: counters plus planner/calibration info.

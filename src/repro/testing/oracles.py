@@ -219,8 +219,7 @@ def _check_executors(
             report = consolidate_all(
                 list(programs),
                 dataset.functions,
-                cost_model,
-                executor=executor,
+                config=ExecutionConfig(cost_model=cost_model, executor=executor),
             )
         except Exception as exc:  # noqa: BLE001
             out.append(
@@ -557,7 +556,7 @@ def _check_vectorized(
             results[label] = (
                 from_collection(rows, config=cfg)
                 .where_consolidated(report.program, pids, dataset.functions)
-                .run(cfg)
+                .run()
             )
         except Exception as exc:  # noqa: BLE001
             out.append(

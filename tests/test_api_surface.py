@@ -2,10 +2,11 @@
 
 ``repro.api`` is the contract both the CLI and the service build on;
 these golden tests make any signature change an explicit, reviewed act —
-the diff shows exactly which verb moved.  The deprecation-cycle tests pin
-the *message shape* of every legacy-kwarg warning (it must name the
-replacement ``ExecutionConfig`` field and the scheduled removal version)
-and the config validation errors (they must enumerate the valid values).
+the diff shows exactly which verb moved.  The same goes for the lower-level
+entry points that take an ``ExecutionConfig``: since repro 2.0 ``config=``
+is their only run-time knob, and a stale keyword must fail loudly.  The
+config validation errors are pinned too (they must enumerate the valid
+values).
 """
 
 import inspect
@@ -14,13 +15,7 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.config import (
-    EXECUTORS,
-    LEGACY_KWARG_REMOVAL,
-    ExecutionConfig,
-    ServiceConfig,
-    resolve_config,
-)
+from repro.config import EXECUTORS, ExecutionConfig, ServiceConfig
 
 # ---------------------------------------------------------------------------
 # the facade: frozen __all__ and golden signatures
@@ -83,39 +78,65 @@ def test_every_facade_verb_has_type_hints():
 
 
 # ---------------------------------------------------------------------------
-# the deprecation cycle: warnings name the field and the removal version
+# the config-only entry points: keyword-only ``config=``, no legacy knobs
 
 
-def test_legacy_kwarg_warning_names_field_and_removal_version():
-    with pytest.warns(DeprecationWarning) as caught:
-        resolved = resolve_config(None, workers=2)
-    assert resolved.workers == 2
-    message = str(caught[0].message)
-    assert "'workers'" in message
-    assert "ExecutionConfig(workers=2)" in message
-    assert f"removed in repro {LEGACY_KWARG_REMOVAL}" in message
-    assert "config=" in message
+CONFIG_ENTRY_POINTS = {
+    ("repro.consolidation", "consolidate_all"): (
+        "(programs: 'list[Program]', functions: 'FunctionTable', *, options: "
+        "'ConsolidationOptions | None' = None, order: 'str' = 'clustered', "
+        "priority: 'Sequence[str] | None' = None, keep_tree: 'bool' = False, "
+        "config: 'ExecutionConfig | None' = None) -> 'ConsolidationReport'"
+    ),
+    ("repro.naiad.linq", "from_collection"): (
+        "(records: 'Sequence[Any]', *, config: 'ExecutionConfig | None' = None)"
+        " -> 'Query'"
+    ),
+    ("repro.naiad.linq", "run_where_many"): (
+        "(records: 'Sequence[Any]', programs: 'Sequence[Program]', functions: "
+        "'Optional[FunctionTable]' = None, *, config: 'ExecutionConfig | None' "
+        "= None) -> 'RunResult'"
+    ),
+    ("repro.naiad.linq", "run_where_consolidated"): (
+        "(records: 'Sequence[Any]', programs: 'Sequence[Program]', functions: "
+        "'Optional[FunctionTable]' = None, *, options: 'ConsolidationOptions | "
+        "None' = None, config: 'ExecutionConfig | None' = None) -> "
+        "'tuple[RunResult, ConsolidationReport]'"
+    ),
+}
 
 
-def test_legacy_kwarg_removal_version_is_pinned():
-    # Finishing the cycle (actually removing the kwargs) must update this
-    # test along with every call site.
-    assert LEGACY_KWARG_REMOVAL == "2.0"
+@pytest.mark.parametrize(
+    "module, name", sorted(CONFIG_ENTRY_POINTS), ids=lambda part: part
+)
+def test_config_entry_point_signatures_are_golden(module, name):
+    import importlib
+
+    actual = str(inspect.signature(getattr(importlib.import_module(module), name)))
+    expected = CONFIG_ENTRY_POINTS[(module, name)]
+    assert actual == expected, f"{module}.{name} signature drifted:\n{actual}"
 
 
-def test_each_legacy_kwarg_warns_once_with_its_own_name():
-    with pytest.warns(DeprecationWarning) as caught:
-        resolve_config(None, workers=2, executor="thread")
-    messages = sorted(str(w.message) for w in caught)
-    assert len(messages) == 2
-    assert any("'executor'" in m and "executor='thread'" in m for m in messages)
-    assert any("'workers'" in m for m in messages)
+def test_stale_positional_cost_model_is_a_type_error():
+    from repro.consolidation import consolidate_all
+    from repro.lang import FunctionTable, notify, program
+    from repro.lang.cost import DEFAULT_COST_MODEL
+
+    batch = [program("a", ("row",), notify("a", True))]
+    with pytest.raises(TypeError):
+        consolidate_all(batch, FunctionTable(), DEFAULT_COST_MODEL)
 
 
-def test_resolve_config_without_legacy_kwargs_is_silent(recwarn):
-    resolved = resolve_config(ExecutionConfig(workers=3))
-    assert resolved.workers == 3
-    assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+def test_package_version_matches_pyproject():
+    import pathlib
+    import re
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(
+        r'^version\s*=\s*"([^"]+)"', pyproject.read_text(encoding="utf-8"), re.M
+    )
+    assert match is not None, "pyproject.toml declares no version"
+    assert repro.__version__ == match.group(1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
-"""ExecutionConfig API: validation, deprecation shims, executors, telemetry.
+"""ExecutionConfig API: validation, executors, telemetry.
 
-The contract under test: the new ``config=`` object is the one way to set
-run-time knobs; every legacy keyword still works identically but warns;
-telemetry never changes observable outputs; both pool executors produce
-the same merged program as the serial driver.
+The contract under test: the ``config=`` object is the one way to set
+run-time knobs; telemetry never changes observable outputs; both pool
+executors produce the same merged program as the serial driver.
 """
 
 import pickle
-import warnings
 
 import pytest
 
-from repro.config import ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang import parse_program
+from repro.lang.cost import DEFAULT_COST_MODEL, CostModel
 from repro.naiad import from_collection, run_where_consolidated, run_where_many
 from repro.queries.weather_queries import make_batch
 from repro.telemetry import Telemetry
@@ -65,69 +64,6 @@ class TestExecutionConfig:
         assert cfg.resolve_functions(other) is other
         assert len(ExecutionConfig().resolve_functions(None)) == 0
 
-    def test_resolve_config_merges_and_warns(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            cfg = resolve_config(None, workers=2)
-        assert cfg.workers == 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_config(None, workers=None).workers == 4
-
-
-class TestDeprecatedKwargShims:
-    """Legacy keywords warn but behave byte-for-byte like the config."""
-
-    def test_run_where_many_workers_kwarg(self, weather, batch):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_where_many(weather.rows, batch, weather.functions, workers=2)
-        modern = run_where_many(
-            weather.rows, batch, weather.functions, config=ExecutionConfig(workers=2)
-        )
-        assert _buckets(legacy) == _buckets(modern)
-        assert legacy.metrics.total_cost == modern.metrics.total_cost
-
-    def test_run_where_many_backend_kwarg(self, weather, batch):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_where_many(
-                weather.rows[:40], batch, weather.functions, backend="interp"
-            )
-        modern = run_where_many(
-            weather.rows[:40],
-            batch,
-            weather.functions,
-            config=ExecutionConfig(backend="interp"),
-        )
-        assert _buckets(legacy) == _buckets(modern)
-
-    def test_query_run_workers_kwarg(self, weather, batch):
-        q = from_collection(weather.rows).where_many(batch, weather.functions)
-        with pytest.warns(DeprecationWarning):
-            legacy = q.run(workers=3)
-        q2 = from_collection(weather.rows).where_many(batch, weather.functions)
-        modern = q2.run(ExecutionConfig(workers=3))
-        assert legacy.metrics.per_worker_total == modern.metrics.per_worker_total
-
-    def test_from_collection_io_cost_kwarg(self, weather):
-        with pytest.warns(DeprecationWarning, match="io_cost_per_record"):
-            q = from_collection(weather.rows, io_cost_per_record=7)
-        assert q.config.io_cost_per_record == 7
-
-    def test_consolidate_all_parallel_kwarg(self, weather, batch):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            report = consolidate_all(batch, weather.functions, parallel=True)
-        assert report.executor == "thread"
-        assert report.parallel is True
-        with pytest.warns(DeprecationWarning):
-            serial = consolidate_all(batch, weather.functions, parallel=False)
-        assert serial.executor == "serial"
-
-    def test_jobmetrics_alias_warns(self):
-        from repro.naiad import dataflow
-
-        with pytest.warns(DeprecationWarning, match="RunMetrics"):
-            alias = dataflow.JobMetrics
-        assert alias is dataflow.RunMetrics
-
 
 class TestExecutors:
     """thread/process pools must reproduce the serial driver's output."""
@@ -137,9 +73,11 @@ class TestExecutors:
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_pool_matches_serial(self, weather, batch, executor):
-        serial = consolidate_all(batch, weather.functions, executor="serial")
+        serial = consolidate_all(batch, weather.functions)
         pooled = consolidate_all(
-            batch, weather.functions, executor=executor, max_workers=2
+            batch,
+            weather.functions,
+            config=ExecutionConfig(executor=executor, max_workers=2),
         )
         assert pooled.executor == executor
         assert pooled.program == serial.program
@@ -147,13 +85,19 @@ class TestExecutors:
         assert pooled.tree_depth == serial.tree_depth
 
     def test_executor_recorded_in_report(self, weather, batch):
-        report = consolidate_all(batch, weather.functions, executor="thread")
+        report = consolidate_all(
+            batch, weather.functions, config=ExecutionConfig(executor="thread")
+        )
         assert report.executor == "thread"
         assert report.max_workers >= 1
 
     def test_unknown_executor_rejected(self, weather, batch):
+        # ExecutionConfig validates the executor when the config is built,
+        # before consolidate_all ever sees it.
         with pytest.raises(ValueError, match="executor"):
-            consolidate_all(batch, weather.functions, executor="gpu")
+            consolidate_all(
+                batch, weather.functions, config=ExecutionConfig(executor="gpu")
+            )
 
     def test_config_supplies_executor(self, weather, batch):
         cfg = ExecutionConfig(executor="thread", max_workers=2)
@@ -170,6 +114,44 @@ class TestExecutors:
         )
         assert report.executor == "process"
         assert _buckets(serial) == _buckets(pooled)
+
+
+class TestOneCostModel:
+    """The merge's ``cost(e') <= cost(e)`` side conditions and the merged
+    program's execution must see the same Figure-2 model: the one in the
+    config.  A spy on the consolidator records the model each pair merge
+    was handed."""
+
+    CUSTOM = CostModel(var=20, arg=20)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        from repro.consolidation import divide_conquer
+
+        seen = []
+        real = divide_conquer.Consolidator
+
+        class Spy(real):
+            def __init__(self, functions, cost_model=DEFAULT_COST_MODEL, *rest, **kw):
+                seen.append(cost_model)
+                super().__init__(functions, cost_model, *rest, **kw)
+
+        monkeypatch.setattr(divide_conquer, "Consolidator", Spy)
+        return seen
+
+    def test_consolidate_all_merges_under_config_cost_model(self, weather, batch, seen):
+        cfg = ExecutionConfig(cost_model=self.CUSTOM)
+        consolidate_all(batch, weather.functions, config=cfg)
+        assert len(seen) == len(batch) - 1
+        assert all(model == self.CUSTOM for model in seen)
+
+    def test_run_where_consolidated_merges_under_config_cost_model(
+        self, weather, batch, seen
+    ):
+        cfg = ExecutionConfig(cost_model=self.CUSTOM)
+        run_where_consolidated(weather.rows[:20], batch, weather.functions, config=cfg)
+        assert len(seen) == len(batch) - 1
+        assert all(model == self.CUSTOM for model in seen)
 
 
 class TestExecutorBackendMatrix:

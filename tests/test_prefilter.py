@@ -266,8 +266,8 @@ class TestOperators:
 class TestConsolidateAll:
     def test_report_carries_prefilter_and_span(self, dataset, batch):
         telemetry = Telemetry.capture(trace=True)
-        config = ExecutionConfig(prefilter=True, telemetry=telemetry)
-        report = consolidate_all(batch, dataset.functions, config=config, provenance=True)
+        config = ExecutionConfig(prefilter=True, telemetry=telemetry, provenance=True)
+        report = consolidate_all(batch, dataset.functions, config=config)
         assert report.prefilter is not None
         assert report.prefilter.certificate in ("proved", "trivial")
         assert report.prefilter_seconds > 0
@@ -292,12 +292,13 @@ class TestConfig:
         assert config.prefilter is False
         assert dataclasses.replace(config, prefilter=True).prefilter is True
 
-    def test_linq_threads_prefilter_flag(self):
+    def test_linq_threads_prefilter_flag(self, dataset, batch):
         from repro.naiad.linq import from_collection
 
-        query = from_collection([], config=ExecutionConfig(prefilter=True))
-        assert query._udf_kwargs(None, None)["prefilter"] is True
-        assert from_collection([])._udf_kwargs(None, None)["prefilter"] is False
+        on = from_collection([], config=ExecutionConfig(prefilter=True))
+        assert on.where_many(batch, dataset.functions)._tail.guards is not None
+        off = from_collection([]).where_many(batch, dataset.functions)
+        assert off._tail.guards is None
 
 
 class TestBattery:

@@ -412,8 +412,7 @@ class TestPlannerEndToEnd:
         report = consolidate_all(
             programs,
             weather.functions,
-            planner="calibrated",
-            smt_budget_seconds=0.0,
+            config=ExecutionConfig(planner="calibrated", smt_budget_seconds=0.0),
         )
         merges = [d for d in report.planner_decisions if d["merged"]]
         assert merges
@@ -421,15 +420,14 @@ class TestPlannerEndToEnd:
         # A demoted merge is still a sound merge.
         rows = list(weather.rows[:40])
         many = run_where_many(rows, programs, weather.functions)
-        cfg = ExecutionConfig()
         from repro.naiad.linq import from_collection
 
         result = (
-            from_collection(rows, config=cfg)
+            from_collection(rows)
             .where_consolidated(
                 report.program, [p.pid for p in programs], weather.functions
             )
-            .run(cfg)
+            .run()
         )
         assert result.buckets == many.buckets
 
@@ -438,7 +436,9 @@ class TestPlannerEndToEnd:
             weather, "Mix", n=8, seed=2
         )
         report = consolidate_all(
-            programs, weather.functions, planner="calibrated", provenance=True
+            programs,
+            weather.functions,
+            config=ExecutionConfig(planner="calibrated", provenance=True),
         )
         heuristics = [
             h
@@ -480,7 +480,9 @@ class TestPlannerEndToEnd:
             weather, "Mix", n=2, seed=1
         )
         with pytest.raises(ValueError):
-            consolidate_all(programs, weather.functions, planner="bogus")
+            consolidate_all(
+                programs, weather.functions, config=ExecutionConfig(planner="bogus")
+            )
 
     def test_registry_metrics_doc_reports_calibration(self, weather):
         from repro.service.registry import QueryRegistry

@@ -25,6 +25,7 @@ import threading
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.consolidation import divide_conquer
 from repro.consolidation.incremental import (
     PatchError,
@@ -151,7 +152,9 @@ def test_random_registration_orders_equivalent(schema, seed):
 @pytest.mark.slow
 def test_single_patch_beats_full_reconsolidation_on_50_queries(weather):
     programs = weather_batch(weather, n=50, family="Mix", seed=7)
-    tree, full_report = rebuild(programs, weather.functions)
+    tree, full_report = rebuild(
+        programs, weather.functions, config=ExecutionConfig(provenance=True)
+    )
     # One provenance derivation per pair merge is the counting instrument.
     assert len(full_report.derivations) == full_report.pair_consolidations == 49
 
